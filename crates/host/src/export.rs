@@ -139,8 +139,8 @@ pub fn metrics_json(
         w.key("events").int(p.events);
         w.key("wall_nanos").int(p.wall_nanos);
         w.key("events_per_sec").num(p.events_per_sec());
-        // Batch statistics confirm slot-drain dispatch is engaging:
-        // zero batches means the engine ran per-event.
+        // Under batched dispatch (the default) a mean batch above 1 means
+        // timestamp slots hold several events: batching has work to share.
         w.key("batches").int(p.batches);
         w.key("mean_batch").num(p.mean_batch());
         w.key("max_batch").int(p.max_batch);

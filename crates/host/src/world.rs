@@ -32,8 +32,8 @@ use hostcc_memsys::{AgentClass, AgentId, MemorySystem, StreamAntagonist};
 use hostcc_nic::Nic;
 use hostcc_pcie::{CreditState, ReplayChannel, ReplayConfig, WriteCredits};
 use hostcc_sim::{
-    fnv1a_64, stream_seed, DispatchProfile, Engine, Envelope, EventQueue, Ewma, Queue, RunOutcome,
-    Scheduler, SerialLink, SimDuration, SimRng, SimTime, SnapError, SnapReader, SnapWriter, World,
+    fnv1a_64, stream_seed, DispatchProfile, Engine, Envelope, Ewma, RunOutcome, Scheduler,
+    SerialLink, SimDuration, SimRng, SimTime, SnapError, SnapReader, SnapWriter, World,
 };
 use hostcc_telemetry::{SignalInputs, Telemetry};
 use hostcc_trace::{
@@ -729,7 +729,7 @@ impl Testbed {
     }
 
     /// Kick off the simulation: initial send attempts + periodic timers.
-    pub fn start<Q: Queue<Event>>(&mut self, sched: &mut Scheduler<Event, Q>) {
+    pub fn start(&mut self, sched: &mut Scheduler<Event>) {
         let n = self.flows.len() as u32;
         for f in 0..n {
             // Fleet receiver slots hold no transmitting flow.
@@ -1349,19 +1349,14 @@ impl Testbed {
 
     /// Schedule a `DmaLaunch` at the current instant unless one is
     /// already pending (coalesced kick; see `dma_launch_pending`).
-    fn kick_dma_launch<Q: Queue<Event>>(&mut self, sched: &mut Scheduler<Event, Q>) {
+    fn kick_dma_launch(&mut self, sched: &mut Scheduler<Event>) {
         if !self.dma_launch_pending {
             self.dma_launch_pending = true;
             sched.immediately(Event::DmaLaunch);
         }
     }
 
-    fn handle_try_send<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        f: u32,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_try_send(&mut self, now: SimTime, f: u32, sched: &mut Scheduler<Event>) {
         // Bursty workloads: outside the active window, hold transmissions
         // until the next burst begins (all of a host's flows share the
         // pattern, as co-located application phases do).
@@ -1424,12 +1419,7 @@ impl Testbed {
         }
     }
 
-    fn handle_at_switch<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        pkt: PacketRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_at_switch(&mut self, now: SimTime, pkt: PacketRef, sched: &mut Scheduler<Event>) {
         match self.switch.enqueue(now, self.store.get_mut(pkt)) {
             EnqueueOutcome::DeliverAt(t) => sched.at(t, Event::AtNic(pkt)),
             EnqueueOutcome::Dropped => {
@@ -1441,12 +1431,7 @@ impl Testbed {
         }
     }
 
-    fn handle_at_nic<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        pkt: PacketRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_at_nic(&mut self, now: SimTime, pkt: PacketRef, sched: &mut Scheduler<Event>) {
         // Link-flap blackout: the packet is lost on the wire, so it never
         // arrives at the NIC at all (no wire-byte accounting, no buffer).
         if self.fault_link_down {
@@ -1484,12 +1469,7 @@ impl Testbed {
     /// sequence all follow the run's FIFO order, and the single coalesced
     /// `DmaLaunch` kick lands where the scalar path's first (coalesced)
     /// kick would.
-    fn handle_at_nic_run<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        run: &[Event],
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_at_nic_run(&mut self, now: SimTime, run: &[Event], sched: &mut Scheduler<Event>) {
         if self.fault_link_down {
             for ev in run {
                 let Event::AtNic(pkt) = *ev else {
@@ -1541,11 +1521,7 @@ impl Testbed {
         self.nic_run_scratch = arrivals;
     }
 
-    fn handle_dma_launch<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_dma_launch(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         self.dma_launch_pending = false;
         if self.cached_mem_epoch != self.mem.demand_epoch() {
             self.refresh_latency_cache();
@@ -1707,12 +1683,7 @@ impl Testbed {
         }
     }
 
-    fn handle_dma_complete<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_dma_complete(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         self.credits.release_write(self.pkt_credits);
         self.kick_dma_launch(sched);
         self.dma_complete_body(now, job, sched);
@@ -1721,12 +1692,7 @@ impl Testbed {
     /// The credit-independent tail of a DMA completion: hand the packet to
     /// its receiver core. The batched path releases a whole run's credits
     /// in one update and then replays the bodies in FIFO order.
-    fn dma_complete_body<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn dma_complete_body(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         let (pkt, thread) = {
             let j = self.dma.get(job);
             (j.pkt, j.thread as usize)
@@ -1753,12 +1719,7 @@ impl Testbed {
     /// would return them, then the CPU-done tail runs with the reserved
     /// completion instant as its logical timestamp. `core_free_at` was
     /// already advanced at launch and must not be touched here.
-    fn handle_dma_chain<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_dma_chain(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         self.credits.release_write(self.pkt_credits);
         self.kick_dma_launch(sched);
         self.dma_chain_body(now, job, sched);
@@ -1766,23 +1727,13 @@ impl Testbed {
 
     /// The credit-independent tail of a fused chain (the batched path
     /// releases a whole run's credits in one update, then replays these).
-    fn dma_chain_body<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn dma_chain_body(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         self.window_payload += self.store.get(self.dma.get(job).pkt).payload_bytes as u64;
         let cpu_done = now + self.per_pkt_cost;
         self.cpu_done_body(cpu_done, job, sched);
     }
 
-    fn handle_cpu_done<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_cpu_done(&mut self, now: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         self.cpu_done_body(now, job, sched);
     }
 
@@ -1793,12 +1744,7 @@ impl Testbed {
     /// time, strictly in the future. Everything time-stamped here (stage
     /// decomposition, telemetry, the ACK's return-path departure) uses
     /// `done_at`, so both paths agree on when processing finished.
-    fn cpu_done_body<Q: Queue<Event>>(
-        &mut self,
-        done_at: SimTime,
-        job: DmaRef,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn cpu_done_body(&mut self, done_at: SimTime, job: DmaRef, sched: &mut Scheduler<Event>) {
         let now = done_at;
         // The packet's host lifecycle ends here: both slab entries retire
         // (free returns the final value by copy), and only the ACK —
@@ -1975,13 +1921,13 @@ impl Testbed {
         );
     }
 
-    fn handle_ack<Q: Queue<Event>>(
+    fn handle_ack(
         &mut self,
         now: SimTime,
         f: u32,
         ack: PacketRef,
         frontier: u64,
-        sched: &mut Scheduler<Event, Q>,
+        sched: &mut Scheduler<Event>,
     ) {
         // The ACK is consumed at the sender; its slab entry retires.
         let ack = self.store.free(ack);
@@ -1991,13 +1937,13 @@ impl Testbed {
     /// ACK consumption at the sender, shared by the local path (after the
     /// store retire above) and the cross-host path (where the ACK arrives
     /// by value, never having entered this host's store).
-    fn ack_body<Q: Queue<Event>>(
+    fn ack_body(
         &mut self,
         now: SimTime,
         f: u32,
         ack: hostcc_fabric::Packet,
         frontier: u64,
-        sched: &mut Scheduler<Event, Q>,
+        sched: &mut Scheduler<Event>,
     ) {
         if self.telemetry.is_enabled() {
             // Fabric share of the round trip: RTT minus the echoed host
@@ -2029,11 +1975,7 @@ impl Testbed {
     /// joins the local datapath at the incast switch, exactly where a
     /// local sender's packet enters; ACKs take the shared consumption
     /// path without a store round-trip.
-    fn handle_remote_arrival<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_remote_arrival(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         let msg = self
             .fabric
             .as_mut()
@@ -2054,7 +1996,7 @@ impl Testbed {
         }
     }
 
-    fn handle_rto_sweep<Q: Queue<Event>>(&mut self, now: SimTime, sched: &mut Scheduler<Event, Q>) {
+    fn handle_rto_sweep(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         for f in 0..self.flows.len() {
             if self.flows[f].check_timeout(now) {
                 sched.immediately(Event::TrySend(f as u32));
@@ -2066,12 +2008,7 @@ impl Testbed {
     /// A fault-plan transition fired: open a window, close one, or run an
     /// in-window tick (IOTLB-storm flush). `code` packs
     /// `(spec_index << 2) | phase`.
-    fn handle_fault<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        code: u32,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_fault(&mut self, now: SimTime, code: u32, sched: &mut Scheduler<Event>) {
         let idx = (code >> 2) as usize;
         if self.faults_suppressed && code & 3 == 0 {
             // Counterfactual replay: drop the opening edge entirely. The
@@ -2168,7 +2105,7 @@ impl Testbed {
     }
 
     /// Post every refill deferred during a descriptor-stall window.
-    fn drain_deferred_refills<Q: Queue<Event>>(&mut self, sched: &mut Scheduler<Event, Q>) {
+    fn drain_deferred_refills(&mut self, sched: &mut Scheduler<Event>) {
         let mut posted = false;
         for t in 0..self.fault_pending_refills.len() {
             while self.fault_pending_refills[t] > 0 && self.nic.queues[t].ring.free_slots() > 0 {
@@ -2191,7 +2128,7 @@ impl Testbed {
         }
     }
 
-    fn handle_mem_tick<Q: Queue<Event>>(&mut self, now: SimTime, sched: &mut Scheduler<Event, Q>) {
+    fn handle_mem_tick(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         let dt = now.saturating_since(self.last_tick).as_secs_f64();
         if dt > 0.0 {
             // Measured NIC traffic: payload writes + page-walk reads (64 B
@@ -2304,11 +2241,7 @@ impl Testbed {
     /// deltas, runs the episode detector and streams to the sink), and
     /// re-arm. Every read is observational — the memory-system calls are
     /// pure memoization — so sampling cannot perturb the run.
-    fn handle_telemetry_tick<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle_telemetry_tick(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
         let min_ring_free = self
             .nic
             .queues
@@ -2341,12 +2274,7 @@ impl Testbed {
 impl World for Testbed {
     type Event = Event;
 
-    fn handle<Q: Queue<Event>>(
-        &mut self,
-        now: SimTime,
-        event: Event,
-        sched: &mut Scheduler<Event, Q>,
-    ) {
+    fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
         match event {
             Event::TrySend(f) => self.handle_try_send(now, f, sched),
             Event::AtSwitch(p) => self.handle_at_switch(now, p, sched),
@@ -2375,11 +2303,11 @@ impl World for Testbed {
     /// returns — and everything else falls back to the scalar handler in
     /// place. Both bulk paths are exactly order-equivalent to per-event
     /// dispatch (see the goldens in `tests/queue_equivalence.rs`).
-    fn handle_batch<Q: Queue<Event>>(
+    fn handle_batch(
         &mut self,
         now: SimTime,
         events: &mut Vec<Event>,
-        sched: &mut Scheduler<Event, Q>,
+        sched: &mut Scheduler<Event>,
     ) {
         let mut i = 0;
         while i < events.len() {
@@ -2452,12 +2380,8 @@ impl World for Testbed {
 }
 
 /// A ready-to-run simulation: the engine plus its started world.
-/// The simulation is generic over the engine's queue implementation
-/// (default: the timing wheel). `Simulation::with_heap_queue` builds the
-/// same seeded world on the reference binary-heap queue, which the
-/// equivalence tests and the engine benchmark compare against.
-pub struct Simulation<Q: Queue<Event> = EventQueue<Event>> {
-    engine: Engine<Testbed, Q>,
+pub struct Simulation {
+    engine: Engine<Testbed>,
 }
 
 /// Progress watchdog threshold: consecutive same-timestamp dispatches
@@ -2468,9 +2392,11 @@ pub struct Simulation<Q: Queue<Event> = EventQueue<Event>> {
 const STALL_LIMIT: u64 = 1_000_000;
 
 impl Simulation {
-    /// Build and start a testbed simulation.
+    /// Build and start a testbed simulation. The event queue quantises
+    /// timestamps to `cfg.resolution` at push, so coarse-time runs
+    /// coalesce events onto shared wheel slots.
     pub fn new(cfg: TestbedConfig) -> Self {
-        Self::with_queue(cfg)
+        Self::from_testbed(Testbed::new(cfg))
     }
 
     /// Build and start a testbed simulation with tracing installed and
@@ -2478,15 +2404,11 @@ impl Simulation {
     /// observational: a traced run returns bit-identical [`RunMetrics`]
     /// to an untraced one.
     pub fn with_trace(cfg: TestbedConfig, trace: TraceConfig) -> Self {
-        let res = cfg.resolution;
         let mut testbed = Testbed::new(cfg);
         testbed.set_trace(trace);
-        let mut engine = Engine::with_queue_resolution(testbed, res);
-        engine.enable_profiling();
-        engine.stall_limit = Some(STALL_LIMIT);
-        let Engine { world, sched, .. } = &mut engine;
-        world.start(sched);
-        Simulation { engine }
+        let mut sim = Self::from_testbed(testbed);
+        sim.enable_profiling();
+        sim
     }
 
     /// Build and start a simulation from an already-constructed testbed.
@@ -2494,8 +2416,19 @@ impl Simulation {
     /// (`enable_fabric` + `add_remote_*`) *before* `start` schedules the
     /// initial send attempts.
     pub fn from_testbed(testbed: Testbed) -> Simulation {
+        let mut engine = Self::engine(testbed);
+        let Engine { world, sched, .. } = &mut engine;
+        world.start(sched);
+        Simulation { engine }
+    }
+
+    /// An engine around `testbed`, at the testbed's resolution and with
+    /// the stall watchdog armed, not yet started.
+    fn engine(testbed: Testbed) -> Engine<Testbed> {
         let res = testbed.config().resolution;
-        Simulation::from_testbed_on_queue(testbed, res)
+        let mut engine = Engine::with_resolution(testbed, res);
+        engine.stall_limit = Some(STALL_LIMIT);
+        engine
     }
 
     // ---- checkpoint/restore ----
@@ -2551,41 +2484,12 @@ impl Simulation {
         let sched = Scheduler::load_state(&mut r, Event::load_state)?;
         testbed.load_state(&mut r)?;
         r.finish()?;
-        let res = testbed.config().resolution;
         // Build the engine shell, then replace its (empty, unstarted)
         // scheduler with the restored one. `start` must NOT run: the
         // checkpoint's queue already holds the live timers.
-        let mut engine = Engine::with_queue_resolution(testbed, res);
-        engine.stall_limit = Some(STALL_LIMIT);
+        let mut engine = Self::engine(testbed);
         engine.sched = sched;
         Ok(Simulation { engine })
-    }
-}
-
-impl Simulation<hostcc_sim::BinaryHeapQueue<Event>> {
-    /// Build and start a testbed simulation on the reference binary-heap
-    /// event queue (equivalence testing and benchmarking only).
-    pub fn with_heap_queue(cfg: TestbedConfig) -> Self {
-        Self::with_queue(cfg)
-    }
-}
-
-impl<Q: Queue<Event>> Simulation<Q> {
-    /// Build and start a testbed simulation over queue implementation `Q`.
-    /// The event queue quantises timestamps to `cfg.resolution` at push,
-    /// so coarse-time runs coalesce events onto shared wheel slots no
-    /// matter which queue backs the engine.
-    pub fn with_queue(cfg: TestbedConfig) -> Self {
-        let res = cfg.resolution;
-        Self::from_testbed_on_queue(Testbed::new(cfg), res)
-    }
-
-    fn from_testbed_on_queue(testbed: Testbed, res: hostcc_sim::Resolution) -> Self {
-        let mut engine = Engine::with_queue_resolution(testbed, res);
-        engine.stall_limit = Some(STALL_LIMIT);
-        let Engine { world, sched, .. } = &mut engine;
-        world.start(sched);
-        Simulation { engine }
     }
 
     /// Enable engine wall-clock dispatch profiling (events/sec) without
@@ -2594,9 +2498,11 @@ impl<Q: Queue<Event>> Simulation<Q> {
         self.engine.enable_profiling();
     }
 
-    /// Toggle batched slot-drain dispatch (on by default). Per-event and
-    /// batched dispatch are bit-for-bit equivalent; the toggle exists for
-    /// the equivalence tests and the benchmark's per-event baseline.
+    /// Toggle batched dispatch (on by default). Off, every event is popped
+    /// on its own and handed to `handle`, bypassing [`Testbed`]'s
+    /// `handle_batch` bulk paths — bit-for-bit the same simulation.
+    /// The toggle exists for the equivalence tests and the engine
+    /// benchmark's reference leg.
     pub fn set_batched(&mut self, on: bool) {
         self.engine.batched = on;
     }

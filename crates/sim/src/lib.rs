@@ -7,11 +7,10 @@
 //! and nothing else:
 //!
 //! * [`SimTime`]/[`SimDuration`] — integer-nanosecond simulated time;
-//! * [`EventQueue`] — a deterministic (FIFO tie-break) min-priority queue:
-//!   an alias for the [`TimingWheel`], with [`BinaryHeapQueue`] kept as the
-//!   reference implementation behind the shared [`Queue`] trait;
-//! * [`Engine`]/[`World`]/[`Scheduler`] — the event loop, generic over the
-//!   queue implementation;
+//! * [`TimingWheel`] — the engine's only event queue: a deterministic
+//!   (FIFO tie-break) hierarchical timing wheel;
+//! * [`Engine`]/[`World`]/[`Scheduler`] — the event loop: one slot-drain
+//!   loop over the wheel, handing each timestamp's events to the world;
 //! * [`ParallelEngine`]/[`ShardHost`]/[`Envelope`] — deterministic
 //!   conservative parallel execution of many coupled sub-simulations in
 //!   lookahead-bounded epochs;
@@ -42,15 +41,10 @@ pub use engine::{DispatchProfile, Engine, RunOutcome, Scheduler, World};
 pub use hist::Histogram;
 pub use pacer::{SerialLink, TokenBucket};
 pub use parallel::{Envelope, ParallelEngine, ShardHost};
-pub use queue::{BinaryHeapQueue, Queue};
 pub use rng::{stream_seed, SimRng, SplitMix64};
 pub use snap::{
-    fnv1a_64, SnapError, SnapQueue, SnapReader, SnapWriter, SNAP_HEADER_LEN, SNAP_MAGIC,
-    SNAP_VERSION,
+    fnv1a_64, SnapError, SnapReader, SnapWriter, SNAP_HEADER_LEN, SNAP_MAGIC, SNAP_VERSION,
 };
-pub use wheel::TimingWheel;
-
-/// The engine's default event queue: the timing wheel.
-pub type EventQueue<E> = TimingWheel<E>;
 pub use stats::{Ewma, RateMeter, Running, TimeSeries};
 pub use time::{Resolution, SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};
+pub use wheel::TimingWheel;

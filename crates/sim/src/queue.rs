@@ -1,85 +1,21 @@
-//! The event queue at the heart of the discrete-event engine.
+//! Deterministic event ordering: the `(time, seq)` key of the timing
+//! wheel's overflow heap, and the binary-heap oracle the wheel is tested
+//! against.
 //!
 //! Events are ordered by timestamp; events with equal timestamps pop in
 //! insertion (FIFO) order so the simulation is fully deterministic — a plain
 //! `BinaryHeap` over `(time, payload)` would break ties arbitrarily.
 //!
-//! Two implementations share the [`Queue`] interface:
-//!
-//! * [`TimingWheel`](crate::TimingWheel) — the default ([`EventQueue`] is an
-//!   alias for it): a timing wheel with an overflow heap, tuned for the
-//!   near-future-dominated schedules a packet-level simulator produces;
-//! * [`BinaryHeapQueue`] — the classic `(time, seq)` binary heap, kept as
-//!   the reference implementation for equivalence testing.
-//!
-//! Both are bit-for-bit deterministic: for any interleaving of pushes and
-//! pops, they return the same events in the same order.
+//! The [`TimingWheel`](crate::TimingWheel) is the engine's only queue.
+//! The classic `(time, seq)` binary heap survives only in this module's
+//! tests, as the reference that every wheel tier (near ring, far ring,
+//! overflow heap), the slot drain and the wheel's snapshot round trip
+//! must agree with event for event.
 
-use crate::time::{Resolution, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// The interface the engine requires of an event queue: a deterministic
-/// min-priority queue over `(SimTime, E)` with FIFO ordering for equal
-/// timestamps.
-pub trait Queue<E> {
-    /// An empty queue at exact (1 ns) resolution.
-    fn new() -> Self
-    where
-        Self: Sized,
-    {
-        Self::with_resolution(Resolution::EXACT)
-    }
-
-    /// An empty queue that quantises event timestamps *up* to the given
-    /// resolution grid at push time. [`Resolution::EXACT`] must behave
-    /// identically to [`new`](Queue::new).
-    fn with_resolution(res: Resolution) -> Self;
-
-    /// Schedule `event` to fire at `time`.
-    fn push(&mut self, time: SimTime, event: E);
-
-    /// Remove and return the earliest event, if any.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-
-    /// Drain *every* event sharing the earliest timestamp into `buf`
-    /// (appended in exactly the order repeated [`pop`](Queue::pop) calls
-    /// would return them) and return that timestamp. `buf` is reused by
-    /// the caller across calls — implementations must only append, never
-    /// allocate fresh storage.
-    ///
-    /// The default just loops `pop` while the next timestamp matches;
-    /// implementations with a cheaper bulk path (the timing wheel's
-    /// slot-FIFO drain list) override it.
-    fn pop_slot(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        let t = self.peek_time()?;
-        while let Some((_, ev)) = self.pop() {
-            buf.push(ev);
-            if self.peek_time() != Some(t) {
-                break;
-            }
-        }
-        Some(t)
-    }
-
-    /// Timestamp of the earliest pending event.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events scheduled over the queue's lifetime.
-    fn scheduled_total(&self) -> u64;
-
-    /// Total number of events dispatched over the queue's lifetime.
-    fn dispatched_total(&self) -> u64;
-}
-
+/// An overflow-heap entry: the event plus its `(time, seq)` ordering key.
 #[derive(Clone)]
 pub(crate) struct Entry<E> {
     pub(crate) time: SimTime,
@@ -110,143 +46,126 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A deterministic min-priority queue of timestamped events backed by a
-/// binary heap with an insertion-sequence tie-break.
-pub struct BinaryHeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Timestamps are rounded up to this grid at push time (identity at
-    /// the default exact resolution), mirroring the timing wheel.
-    res: Resolution,
-    next_seq: u64,
-    popped: u64,
-}
-
-impl<E> Default for BinaryHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BinaryHeapQueue<E> {
-    /// An empty queue at exact (1 ns) resolution.
-    pub fn new() -> Self {
-        Self::with_resolution(Resolution::EXACT)
-    }
-
-    /// An empty queue quantising timestamps up to `res`.
-    pub fn with_resolution(res: Resolution) -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            res,
-            next_seq: 0,
-            popped: 0,
-        }
-    }
-
-    /// An empty queue with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.heap.reserve(cap);
-        q
-    }
-}
-
-impl<E: Clone> crate::snap::SnapQueue<E> for BinaryHeapQueue<E> {
-    fn save_state<F: FnMut(&E, &mut crate::snap::SnapWriter)>(
-        &self,
-        w: &mut crate::snap::SnapWriter,
-        mut enc: F,
-    ) {
-        w.u32(self.res.shift());
-        w.u64(self.next_seq);
-        w.u64(self.popped);
-        w.usize(self.heap.len());
-        // Drain a clone so serialization is in exact dispatch order.
-        let mut drain = self.heap.clone();
-        while let Some(e) = drain.pop() {
-            w.time(e.time);
-            enc(&e.event, w);
-        }
-    }
-
-    fn load_state<
-        'a,
-        F: FnMut(&mut crate::snap::SnapReader<'a>) -> Result<E, crate::snap::SnapError>,
-    >(
-        r: &mut crate::snap::SnapReader<'a>,
-        mut dec: F,
-    ) -> Result<Self, crate::snap::SnapError> {
-        use crate::snap::SnapError;
-        let shift = r.u32()?;
-        let res = u64::checked_shl(1, shift)
-            .and_then(Resolution::from_nanos)
-            .ok_or(SnapError::Corrupt("bad queue resolution"))?;
-        let next_seq = r.u64()?;
-        let popped = r.u64()?;
-        let n = r.len(9)?;
-        if (n as u64) > next_seq {
-            return Err(SnapError::Corrupt("more pending events than scheduled"));
-        }
-        let mut q = BinaryHeapQueue::with_resolution(res);
-        let mut last = SimTime::ZERO;
-        for _ in 0..n {
-            let t = r.time()?;
-            if t < last {
-                return Err(SnapError::Corrupt("queue events out of order"));
-            }
-            last = t;
-            Queue::push(&mut q, t, dec(r)?);
-        }
-        q.next_seq = next_seq;
-        q.popped = popped;
-        Ok(q)
-    }
-}
-
-impl<E> Queue<E> for BinaryHeapQueue<E> {
-    fn with_resolution(res: Resolution) -> Self {
-        BinaryHeapQueue::with_resolution(res)
-    }
-
-    fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let time = self.res.ceil_time(time);
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
-        self.popped += 1;
-        Some((e.time, e.event))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    fn dispatched_total(&self) -> u64 {
-        self.popped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::rng::SimRng;
+    use crate::snap::{SnapReader, SnapWriter};
+    use crate::time::Resolution;
     use crate::wheel::TimingWheel;
+    use std::collections::BinaryHeap;
+
+    /// The operations the oracle and the wheel share, so one test body
+    /// can check both.
+    trait Queue<E> {
+        fn push(&mut self, time: SimTime, event: E);
+        fn pop(&mut self) -> Option<(SimTime, E)>;
+        /// Append every event of the earliest timestamp to `buf` and
+        /// return that timestamp. The default loops `pop`; the wheel
+        /// overrides it with its slot drain.
+        fn pop_slot(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
+            let t = self.peek_time()?;
+            while let Some((_, ev)) = self.pop() {
+                buf.push(ev);
+                if self.peek_time() != Some(t) {
+                    break;
+                }
+            }
+            Some(t)
+        }
+        fn peek_time(&self) -> Option<SimTime>;
+        fn len(&self) -> usize;
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+        fn scheduled_total(&self) -> u64;
+        fn dispatched_total(&self) -> u64;
+    }
+
+    /// The oracle: a binary heap with an insertion-sequence tie-break,
+    /// quantising timestamps up to its resolution at push like the wheel.
+    struct BinaryHeapQueue<E> {
+        heap: BinaryHeap<Entry<E>>,
+        res: Resolution,
+        next_seq: u64,
+        popped: u64,
+    }
+
+    impl<E> BinaryHeapQueue<E> {
+        fn new() -> Self {
+            Self::with_resolution(Resolution::EXACT)
+        }
+
+        fn with_resolution(res: Resolution) -> Self {
+            BinaryHeapQueue {
+                heap: BinaryHeap::new(),
+                res,
+                next_seq: 0,
+                popped: 0,
+            }
+        }
+    }
+
+    impl<E> Queue<E> for BinaryHeapQueue<E> {
+        fn push(&mut self, time: SimTime, event: E) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let time = self.res.ceil_time(time);
+            self.heap.push(Entry { time, seq, event });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            let e = self.heap.pop()?;
+            self.popped += 1;
+            Some((e.time, e.event))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.time)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        fn scheduled_total(&self) -> u64 {
+            self.next_seq
+        }
+
+        fn dispatched_total(&self) -> u64 {
+            self.popped
+        }
+    }
+
+    impl<E> Queue<E> for TimingWheel<E> {
+        fn push(&mut self, time: SimTime, event: E) {
+            TimingWheel::push(self, time, event)
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            TimingWheel::pop(self)
+        }
+
+        fn pop_slot(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
+            TimingWheel::pop_slot(self, buf)
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            TimingWheel::peek_time(self)
+        }
+
+        fn len(&self) -> usize {
+            TimingWheel::len(self)
+        }
+
+        fn scheduled_total(&self) -> u64 {
+            TimingWheel::scheduled_total(self)
+        }
+
+        fn dispatched_total(&self) -> u64 {
+            TimingWheel::dispatched_total(self)
+        }
+    }
 
     fn impls<E>() -> (BinaryHeapQueue<E>, TimingWheel<E>) {
         (BinaryHeapQueue::new(), TimingWheel::new())
@@ -362,37 +281,64 @@ mod tests {
         pop_slot_drains_exactly_one_timestamp(w);
     }
 
-    /// Randomised differential test: any interleaving of pushes and pops
-    /// must produce identical sequences from both implementations.
+    /// Serialize `wheel` and rebuild it from the bytes.
+    fn snapshot_round_trip(wheel: &TimingWheel<u32>) -> TimingWheel<u32> {
+        let mut w = SnapWriter::new();
+        wheel.save_state(&mut w, |&v, w| w.u32(v));
+        let bytes = w.into_payload();
+        let mut r = SnapReader::new(&bytes);
+        let restored = TimingWheel::load_state(&mut r, |r| r.u32()).expect("wheel restores");
+        assert!(r.is_exhausted(), "restore consumed the whole snapshot");
+        restored
+    }
+
+    /// Randomised differential test at exact (1 ns) resolution: any
+    /// interleaving of pushes, pops and slot drains must produce identical
+    /// `(time, event)` sequences from the wheel and the heap oracle. The
+    /// delays reach every wheel tier — the near ring, the far ring and,
+    /// beyond the far horizon (2^26 ns plus the near span), the overflow
+    /// heap. Half the pops drain a whole slot through `pop_slot`, and the
+    /// wheel is snapshotted and restored mid-stream, after which it must
+    /// keep agreeing with the heap, counters included.
     #[test]
     fn heap_and_wheel_agree_on_random_workloads() {
-        use crate::rng::SimRng;
         let mut rng = SimRng::new(0xE0E0_1234);
         let mut heap: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
         let mut wheel: TimingWheel<u32> = TimingWheel::new();
+        let mut buf: Vec<u32> = Vec::new();
         let mut now = 0u64;
         let mut id = 0u32;
-        for _ in 0..200_000 {
+        for op in 1..=200_000 {
+            if op % 50_000 == 0 {
+                wheel = snapshot_round_trip(&wheel);
+                assert_eq!(heap.len(), wheel.len(), "snapshot kept every event");
+            }
             if rng.chance(0.55) || heap.is_empty() {
-                // Mix of near-future (wheel) and far-future (overflow)
-                // horizons, including exact ties at the current time.
+                // Exact ties at the current time, then the near ring, the
+                // far ring and the overflow heap.
                 let delay = match rng.next_below(10) {
                     0 => 0,
-                    1..=6 => rng.next_below(2_000),
-                    7 | 8 => rng.next_below(200_000),
-                    _ => rng.next_below(20_000_000),
+                    1..=5 => rng.next_below(2_000),
+                    6 | 7 => rng.next_below(200_000),
+                    8 => rng.next_below(20_000_000),
+                    _ => 70_000_000 + rng.next_below(130_000_000),
                 };
                 let t = SimTime::from_nanos(now + delay);
                 heap.push(t, id);
                 wheel.push(t, id);
                 id += 1;
+            } else if rng.chance(0.5) {
+                buf.clear();
+                let t = wheel.pop_slot(&mut buf).expect("queue is non-empty");
+                for &v in &buf {
+                    assert_eq!(heap.pop(), Some((t, v)), "slot drain diverged from heap");
+                }
+                assert_ne!(heap.peek_time(), Some(t), "slot drain left a tie behind");
+                now = t.as_nanos();
             } else {
                 let a = heap.pop();
-                let b = wheel.pop();
-                assert_eq!(a, b, "heap and wheel diverged");
-                if let Some((t, _)) = a {
-                    now = t.as_nanos();
-                }
+                assert_eq!(a, wheel.pop(), "heap and wheel diverged");
+                now = a.expect("queue is non-empty").0.as_nanos();
             }
         }
         assert_eq!(heap.peek_time(), wheel.peek_time());
@@ -410,7 +356,6 @@ mod tests {
     /// near/far/tied-horizon workload as the heap/wheel test above.
     #[test]
     fn per_event_and_slot_drain_agree_on_random_workloads() {
-        use crate::rng::SimRng;
         let mut rng = SimRng::new(0xBA7C_5EED);
         let mut per_event: TimingWheel<u32> = TimingWheel::new();
         let mut slot_drain: TimingWheel<u32> = TimingWheel::new();
@@ -465,8 +410,6 @@ mod tests {
     /// overflow heap).
     #[test]
     fn coarse_wheel_heap_and_prequantised_exact_wheel_agree() {
-        use crate::rng::SimRng;
-        use crate::time::Resolution;
         let res = Resolution::from_nanos(64).unwrap();
         let mut rng = SimRng::new(0xC0A2_5E64);
         let mut heap: BinaryHeapQueue<u32> = BinaryHeapQueue::with_resolution(res);

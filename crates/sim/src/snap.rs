@@ -87,25 +87,6 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Event queues whose pending contents can be serialized in dispatch
-/// order and rebuilt bit-exactly. Both engine queues implement it, so the
-/// checkpoint layer is generic over the queue the simulation runs on.
-pub trait SnapQueue<E>: crate::queue::Queue<E> {
-    /// Serialize lifetime counters plus every pending `(time, event)` in
-    /// exactly the order repeated `pop` calls would return them.
-    fn save_state<F: FnMut(&E, &mut SnapWriter)>(&self, w: &mut SnapWriter, enc: F);
-
-    /// Rebuild a queue from [`save_state`](SnapQueue::save_state) output.
-    /// The restored queue is observationally identical: same pop sequence,
-    /// same FIFO tie-breaks against future pushes, same lifetime counters.
-    fn load_state<'a, F: FnMut(&mut SnapReader<'a>) -> Result<E, SnapError>>(
-        r: &mut SnapReader<'a>,
-        dec: F,
-    ) -> Result<Self, SnapError>
-    where
-        Self: Sized;
-}
-
 /// Append-only snapshot payload writer.
 #[derive(Debug, Default)]
 pub struct SnapWriter {

@@ -40,9 +40,10 @@
 //!
 //! # Ordering across tiers
 //!
-//! Determinism is preserved bit-for-bit relative to the reference
-//! [`BinaryHeapQueue`](crate::BinaryHeapQueue) at equal resolution: FIFO
-//! order within a quantised timestamp is insertion order. The argument:
+//! The wheel pops in exactly `(quantised time, insertion seq)` order —
+//! bit-for-bit what a `(time, seq)` binary heap at equal resolution
+//! returns (the differential tests in `queue.rs` check it against one):
+//! FIFO order within a quantised timestamp is insertion order. The argument:
 //! the tier an event lands in depends only on its (quantised) time and
 //! the window position at push time, and the window only moves forward.
 //! So for any fixed timestamp `T`, pushes routed to the heap happened
@@ -56,7 +57,7 @@
 //! push-at-head, which the later lazy reversal restores to seq order
 //! ahead of any subsequent direct push.
 
-use crate::queue::{Entry, Queue};
+use crate::queue::Entry;
 use crate::time::{Resolution, SimTime};
 use std::collections::BinaryHeap;
 
@@ -108,8 +109,7 @@ struct Node<E> {
 /// timing wheel with an overflow heap (see the module docs for the
 /// design).
 ///
-/// This is the engine's default queue; [`EventQueue`](crate::EventQueue)
-/// is an alias for it.
+/// This is the engine's only queue.
 #[derive(Clone)]
 pub struct TimingWheel<E> {
     /// log2 of the resolution grid step in ns; all internal times are in
@@ -673,15 +673,16 @@ impl<E> TimingWheel<E> {
     }
 }
 
-impl<E: Clone> crate::snap::SnapQueue<E> for TimingWheel<E> {
-    /// Serialize by draining a clone in dispatch order. The restored wheel
-    /// re-pushes the events into a fresh window (base 0), which may place
-    /// them in different tiers than the original — that only shifts
-    /// *where* bookkeeping work happens, never the pop order: pushes in
-    /// ascending dispatch order get ascending seqs, and the wheel's
-    /// cross-tier ordering guarantee makes the pop sequence a pure
-    /// function of `(time, seq)`.
-    fn save_state<F: FnMut(&E, &mut crate::snap::SnapWriter)>(
+impl<E: Clone> TimingWheel<E> {
+    /// Serialize the lifetime counters plus every pending `(time, event)`
+    /// in exactly the order repeated [`pop`](Self::pop) calls would return
+    /// them, by draining a clone. The restored wheel re-pushes the events
+    /// into a fresh window (base 0), which may place them in different
+    /// tiers than the original — that only shifts *where* bookkeeping
+    /// work happens, never the pop order: pushes in ascending dispatch
+    /// order get ascending seqs, and the wheel's cross-tier ordering
+    /// guarantee makes the pop sequence a pure function of `(time, seq)`.
+    pub fn save_state<F: FnMut(&E, &mut crate::snap::SnapWriter)>(
         &self,
         w: &mut crate::snap::SnapWriter,
         mut enc: F,
@@ -697,7 +698,10 @@ impl<E: Clone> crate::snap::SnapQueue<E> for TimingWheel<E> {
         }
     }
 
-    fn load_state<
+    /// Rebuild a wheel from [`save_state`](Self::save_state) output. The
+    /// restored wheel is observationally identical: same pop sequence,
+    /// same FIFO tie-breaks against future pushes, same lifetime counters.
+    pub fn load_state<
         'a,
         F: FnMut(&mut crate::snap::SnapReader<'a>) -> Result<E, crate::snap::SnapError>,
     >(
@@ -730,44 +734,6 @@ impl<E: Clone> crate::snap::SnapQueue<E> for TimingWheel<E> {
         q.next_seq = next_seq;
         q.popped = popped;
         Ok(q)
-    }
-}
-
-impl<E> Queue<E> for TimingWheel<E> {
-    fn with_resolution(res: Resolution) -> Self {
-        TimingWheel::with_resolution(res)
-    }
-
-    fn push(&mut self, time: SimTime, event: E) {
-        TimingWheel::push(self, time, event)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        TimingWheel::pop(self)
-    }
-
-    fn pop_slot(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        TimingWheel::pop_slot(self, buf)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        TimingWheel::peek_time(self)
-    }
-
-    fn len(&self) -> usize {
-        TimingWheel::len(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        TimingWheel::is_empty(self)
-    }
-
-    fn scheduled_total(&self) -> u64 {
-        TimingWheel::scheduled_total(self)
-    }
-
-    fn dispatched_total(&self) -> u64 {
-        TimingWheel::dispatched_total(self)
     }
 }
 

@@ -9,7 +9,7 @@
 use hostcc::experiment::{run as try_run, RunPlan};
 use hostcc::substrate::iommu::{Iotlb, IotlbTag};
 use hostcc::substrate::mem::{IoPageTable, Iova, PageSize, PhysAddr};
-use hostcc::substrate::sim::{EventQueue, SimDuration, SimRng, SimTime};
+use hostcc::substrate::sim::{SimDuration, SimRng, SimTime, TimingWheel};
 use hostcc::TestbedConfig;
 
 /// Property cases only draw valid configurations; unwrap the panic-free
@@ -86,7 +86,7 @@ fn event_queue_ordering() {
     for _ in 0..64 {
         let n = 1 + rng.next_below(199) as usize;
         let times: Vec<u64> = (0..n).map(|_| rng.next_below(1000)).collect();
-        let mut q = EventQueue::new();
+        let mut q = TimingWheel::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_nanos(t), i);
         }

@@ -1,51 +1,21 @@
-//! Queue-implementation equivalence: the timing-wheel event queue must be
-//! a *perfect* drop-in for the reference binary heap — and the
-//! slab/handle-based datapath a perfect drop-in for the old by-value one.
+//! Dispatch equivalence and the datapath goldens.
 //!
 //! The engine's determinism contract is that event order depends only on
-//! `(time, insertion seq)`. Both queue implementations promise that order
-//! bit-for-bit, so the same seeded scenario driven through either must
-//! produce identical metrics — down to histogram quantiles and occupancy
-//! sample vectors — and dispatch exactly the same number of events.
+//! `(time, insertion seq)`. The timing wheel is checked against a
+//! `(time, seq)` binary-heap oracle in `hostcc-sim`'s own tests; this
+//! suite checks the testbed on top of it. Batched dispatch (the
+//! `handle_batch` bulk NIC and DMA-completion paths) and the reference
+//! one-event-at-a-time dispatch must produce identical metrics — down to
+//! histogram quantiles and occupancy sample vectors — and dispatch
+//! exactly the same number of events.
 //!
-//! The golden-digest tests at the bottom pin today's datapath to digests
-//! captured from the pre-slab representation (events carrying `Packet`
-//! and `DmaJob` by value): the handle refactor must not move a single
-//! metric bit on any engine-bench scenario.
+//! The golden-digest tests pin today's datapath to digests captured from
+//! the pre-slab representation (events carrying `Packet` and `DmaJob` by
+//! value): the handle refactor must not move a single metric bit on any
+//! engine-bench scenario.
 
 use hostcc::experiment::RunPlan;
 use hostcc::{metrics_json, scenarios, RunMetrics, Simulation, TestbedConfig};
-
-fn shrink(mut cfg: TestbedConfig) -> TestbedConfig {
-    cfg.senders = 8;
-    cfg.receiver_threads = 4;
-    cfg
-}
-
-/// Run one config on both queues and assert bit-identical outcomes.
-fn assert_equivalent(name: &str, cfg: TestbedConfig) {
-    let plan = RunPlan::quick();
-
-    let mut wheel = Simulation::new(cfg.clone());
-    let m_wheel = wheel.run(plan.warmup, plan.measure);
-    let mut heap = Simulation::with_heap_queue(cfg);
-    let m_heap = heap.run(plan.warmup, plan.measure);
-
-    // Identical dispatched-event counts.
-    assert_eq!(
-        wheel.dispatched_total(),
-        heap.dispatched_total(),
-        "{name}: dispatched-event counts diverged"
-    );
-
-    // Identical RunMetrics. The JSON export covers every headline field,
-    // both latency histograms and the per-stage breakdown; the raw
-    // field-level checks below catch anything the export rounds.
-    let json_wheel = metrics_json(&m_wheel, &wheel.world().counters, None);
-    let json_heap = metrics_json(&m_heap, &heap.world().counters, None);
-    assert_eq!(json_wheel, json_heap, "{name}: metrics JSON diverged");
-    assert_raw_metrics_identical(name, &m_wheel, &m_heap);
-}
 
 fn assert_raw_metrics_identical(name: &str, a: &RunMetrics, b: &RunMetrics) {
     assert_eq!(a.measured, b.measured, "{name}: measured");
@@ -106,13 +76,13 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// (events carrying `Packet`/`DmaJob` directly, before the slab refactor).
 /// `golden = (dispatched, delivered, (lookups, misses, walks), fnv, len)`.
 ///
-/// Runs twice — slot-drain batching on (the library default) and off —
+/// Runs twice — batched dispatch on (the library default) and off —
 /// and holds both runs to the *same* digest: batched dispatch must be
 /// bit-for-bit invisible in every exported metric.
 fn assert_golden(name: &str, cfg: TestbedConfig, golden: (u64, u64, (u64, u64, u64), u64, usize)) {
     let plan = RunPlan::quick();
     for batched in [true, false] {
-        let mode = if batched { "batched" } else { "per-event" };
+        let mode = if batched { "batched" } else { "reference" };
         let mut sim = Simulation::new(cfg.clone());
         sim.set_batched(batched);
         let m = sim.run(plan.warmup, plan.measure);
@@ -395,30 +365,4 @@ fn capture_coarse_goldens() {
             json.len()
         );
     }
-}
-
-/// Coarse-time runs keep the queue-equivalence contract too: the
-/// hierarchical wheel at a 64 ns slot width and the binary heap with the
-/// same push-side quantisation must dispatch identically.
-#[test]
-fn coarse_incast_scenario_is_queue_equivalent() {
-    assert_equivalent("coarse-incast", coarse(shrink(scenarios::baseline())));
-}
-
-#[test]
-fn incast_scenario_is_queue_equivalent() {
-    assert_equivalent("incast", shrink(scenarios::baseline()));
-}
-
-#[test]
-fn antagonist_scenario_is_queue_equivalent() {
-    assert_equivalent("antagonist", shrink(scenarios::fig6(8, true)));
-}
-
-#[test]
-fn strict_iommu_scenario_is_queue_equivalent() {
-    assert_equivalent(
-        "strict-iommu",
-        shrink(scenarios::with_strict_iommu(scenarios::baseline())),
-    );
 }
