@@ -157,6 +157,12 @@ impl SwitchPort {
                 break;
             }
         }
+        // `pop_front` never rewinds the ring's head, so pushes would sweep
+        // (and commit) the whole pre-sized buffer over a run; `clear`
+        // rewinds it, keeping a mostly-idle port on its first pages.
+        if self.departures.is_empty() {
+            self.departures.clear();
+        }
     }
 
     /// Offer `pkt` to the port at `now`. On acceptance the packet's ECN
@@ -374,6 +380,24 @@ mod tests {
             assert!(p.departures.len() <= cap);
         }
         assert_eq!(p.departures.capacity(), cap, "ring reallocated");
+    }
+
+    #[test]
+    fn drained_departure_ring_rewinds_to_its_start() {
+        let mut p = SwitchPort::new(100e9, SimDuration::ZERO, 1 << 20, 0);
+        for _ in 0..100 {
+            p.enqueue(SimTime::ZERO, &mut pkt());
+        }
+        // Drain to empty: every departure has finished by 1 ms.
+        assert_eq!(p.occupancy(SimTime::from_millis(1)), 0);
+        let cap = p.departures.capacity();
+        for i in 0..cap {
+            p.departures.push_back((SimTime::from_nanos(i as u64), 0));
+        }
+        assert!(
+            p.departures.as_slices().1.is_empty(),
+            "refilled ring wrapped: its head was not rewound"
+        );
     }
 }
 

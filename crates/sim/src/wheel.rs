@@ -8,18 +8,23 @@
 //! and moves event payloads across heap levels — on every push and pop
 //! regardless of that structure. The wheel exploits it, in three tiers:
 //!
-//! * a **near ring** of `2^14` slots, each one [`Resolution`] step wide
+//! * a **near ring** of `2^12` slots, each one [`Resolution`] step wide
 //!   (1 ns at the default exact resolution, 64 ns in coarse mode), covers
-//!   the immediate horizon; pushing inside it is one index computation
-//!   plus one linked-list splice, and *every event in a slot shares one
-//!   quantised timestamp*, so the engine can drain a whole slot as one
-//!   batch;
-//! * a **far ring** of `2^16` slots, each `2^10` near-slots wide, covers
-//!   the next `2^26` steps (~67 ms at 1 ns resolution). Far slots hold
-//!   mixed timestamps; as the near horizon sweeps past a far slot the
-//!   whole slot is *scattered* into exact near slots in one pass;
+//!   the immediate horizon (~4 µs exact, ~262 µs coarse); pushing inside
+//!   it is one index computation plus one linked-list splice, and *every
+//!   event in a slot shares one quantised timestamp*, so the engine can
+//!   drain a whole slot as one batch;
+//! * a **far ring** of `2^12` slots, each `2^10` near-slots wide, covers
+//!   the next `2^22` steps (~4.2 ms at 1 ns resolution, ~268 ms at
+//!   64 ns). Far slots hold mixed timestamps; as the near horizon sweeps
+//!   past a far slot the whole slot is *scattered* into exact near slots
+//!   in one pass. At exact resolution the 5 µs telemetry tick, the
+//!   ~9 µs ACK echo and the 10 µs memory tick take this route;
 //! * events beyond both horizons go to a small overflow heap keyed by
 //!   `(time, seq)` and migrate into the near ring as the window advances.
+//!
+//! Both rings' slot heads and bitmaps come to ~33 KiB per wheel, so a
+//! fleet of thousands of hosts, each with its own wheel, stays small.
 //!
 //! Timestamps are quantised **up** to the resolution grid at push time
 //! (`ceil(t / R) · R`); at the default exact resolution this is the
@@ -34,9 +39,10 @@
 //! and slot lists are stored *reversed* (push-at-head) so pushes never
 //! chase a tail pointer. A near list is reversed once, in place, when the
 //! cursor reaches the slot — O(1) amortised per event — which restores
-//! FIFO order exactly. Two-level occupancy bitmaps (one bit per slot, one
-//! summary bit per bitmap word) find the next non-empty slot in a handful
-//! of word reads regardless of how sparse the schedule is.
+//! FIFO order exactly. Two-level occupancy bitmaps (one bit per slot,
+//! one summary bit per bitmap word, the summary a single `u64`) find the
+//! next non-empty slot in at most three word reads, however sparse the
+//! schedule.
 //!
 //! # Ordering across tiers
 //!
@@ -61,34 +67,37 @@ use crate::queue::Entry;
 use crate::time::{Resolution, SimTime};
 use std::collections::BinaryHeap;
 
-/// log2 of the near-ring slot count: 2^14 slots × one resolution step.
-/// At 1 ns resolution the near horizon is ~16 µs — wide enough for the
-/// ACK echo path (~9 µs), the memory tick (10 µs) and the telemetry tick
-/// (5 µs) to stay on the fast path.
-const NEAR_BITS: u32 = 14;
+/// log2 of the near-ring slot count: 2^12 slots × one resolution step.
+/// At 1 ns resolution the near horizon is 3–4 µs: serialisation, PCIe,
+/// memory and per-packet CPU delays stay on the fast path, while the
+/// telemetry tick (5 µs), the ACK echo (~9 µs) and the memory tick
+/// (10 µs) route through the far ring and are scattered back in bulk.
+const NEAR_BITS: u32 = 12;
 /// Number of near-ring slots.
 const NEAR_SLOTS: usize = 1 << NEAR_BITS;
 /// Near slot index mask.
 const NEAR_MASK: usize = NEAR_SLOTS - 1;
 /// Near occupancy bitmap words.
 const NEAR_WORDS: usize = NEAR_SLOTS / 64;
-/// Near summary words (one bit per occupancy word).
-const NEAR_SUM_WORDS: usize = NEAR_WORDS / 64;
 
 /// log2 of a far slot's width in near-slot (resolution) steps.
 const FAR_SUB_BITS: u32 = 10;
 /// log2 of the far-ring slot count.
-const FAR_BITS: u32 = 16;
+const FAR_BITS: u32 = 12;
 /// Number of far-ring slots.
 const FAR_SLOTS: usize = 1 << FAR_BITS;
 /// Far slot index mask.
 const FAR_MASK: usize = FAR_SLOTS - 1;
 /// Far occupancy bitmap words.
 const FAR_WORDS: usize = FAR_SLOTS / 64;
-/// Far summary words.
-const FAR_SUM_WORDS: usize = FAR_WORDS / 64;
-/// Far horizon in resolution steps: 2^16 slots × 2^10 steps = 2^26.
+/// Far horizon in resolution steps: 2^12 slots × 2^10 steps = 2^22
+/// (~4.2 ms at 1 ns resolution, ~268 ms at 64 ns).
 const FAR_SPAN: u64 = (FAR_SLOTS as u64) << FAR_SUB_BITS;
+
+// Each ring's occupancy summary is a single `u64` (one bit per bitmap
+// word), and a far slot is narrower than the near window, so a far slot
+// swept by the near horizon always fits in it whole.
+const _: () = assert!(NEAR_WORDS == 64 && FAR_WORDS == 64 && FAR_SUB_BITS < NEAR_BITS);
 
 /// Null link in the node arena.
 const NIL: u32 = u32::MAX;
@@ -124,7 +133,7 @@ pub struct TimingWheel<E> {
     /// One bit per near slot: set iff the slot's list is non-empty.
     occupied: Vec<u64>,
     /// One bit per `occupied` word: set iff that word is non-zero.
-    summary: [u64; NEAR_SUM_WORDS],
+    summary: u64,
     /// Time (in steps) of the slot at `cursor`. No pending event is
     /// earlier than `base`.
     base: u64,
@@ -141,7 +150,7 @@ pub struct TimingWheel<E> {
     /// indexed by `(time >> FAR_SUB_BITS) & FAR_MASK`.
     far_heads: Vec<u32>,
     far_occ: Vec<u64>,
-    far_sum: [u64; FAR_SUM_WORDS],
+    far_sum: u64,
     /// Events currently in far-ring slots.
     far_len: usize,
     /// Lower edge of the far window (in steps, a multiple of the far slot
@@ -181,7 +190,7 @@ impl<E> TimingWheel<E> {
             free: NIL,
             heads: vec![NIL; NEAR_SLOTS],
             occupied: vec![0u64; NEAR_WORDS],
-            summary: [0u64; NEAR_SUM_WORDS],
+            summary: 0,
             base: 0,
             cursor: 0,
             cur_head: NIL,
@@ -189,7 +198,7 @@ impl<E> TimingWheel<E> {
             near_len: 0,
             far_heads: vec![NIL; FAR_SLOTS],
             far_occ: vec![0u64; FAR_WORDS],
-            far_sum: [0u64; FAR_SUM_WORDS],
+            far_sum: 0,
             far_len: 0,
             far_start: ((NEAR_SLOTS as u64) >> FAR_SUB_BITS) << FAR_SUB_BITS,
             far_next: None,
@@ -222,7 +231,7 @@ impl<E> TimingWheel<E> {
     fn set_bit(&mut self, slot: usize) {
         let w = slot >> 6;
         self.occupied[w] |= 1u64 << (slot & 63);
-        self.summary[w >> 6] |= 1u64 << (w & 63);
+        self.summary |= 1u64 << w;
     }
 
     #[inline]
@@ -231,7 +240,7 @@ impl<E> TimingWheel<E> {
         let m = self.occupied[w] & !(1u64 << (slot & 63));
         self.occupied[w] = m;
         if m == 0 {
-            self.summary[w >> 6] &= !(1u64 << (w & 63));
+            self.summary &= !(1u64 << w);
         }
     }
 
@@ -239,7 +248,7 @@ impl<E> TimingWheel<E> {
     fn far_set_bit(&mut self, slot: usize) {
         let w = slot >> 6;
         self.far_occ[w] |= 1u64 << (slot & 63);
-        self.far_sum[w >> 6] |= 1u64 << (w & 63);
+        self.far_sum |= 1u64 << w;
     }
 
     #[inline]
@@ -248,7 +257,7 @@ impl<E> TimingWheel<E> {
         let m = self.far_occ[w] & !(1u64 << (slot & 63));
         self.far_occ[w] = m;
         if m == 0 {
-            self.far_sum[w >> 6] &= !(1u64 << (w & 63));
+            self.far_sum &= !(1u64 << w);
         }
     }
 
@@ -463,10 +472,12 @@ impl<E> TimingWheel<E> {
         // (after heap migrants, which carry smaller seqs), future times
         // push-at-head into their exact near slot.
         if self.far_len > 0 {
+            // All far content lies within one `FAR_SPAN` window from
+            // `far_start`, so a circular scan from its slot is time order.
             let start_idx = ((self.far_start >> FAR_SUB_BITS) as usize) & FAR_MASK;
             let mut scattered = false;
             while self.far_len > 0 {
-                let Some(fslot) = self.far_first_occupied_from(start_idx) else {
+                let Some(fslot) = first_set_from(&self.far_occ, self.far_sum, start_idx) else {
                     break;
                 };
                 let offset = (fslot.wrapping_sub(start_idx) & FAR_MASK) as u64;
@@ -511,45 +522,6 @@ impl<E> TimingWheel<E> {
         self.far_start = new_fs;
     }
 
-    /// First occupied far slot scanning circularly from `start` (two-level
-    /// bitmap scan). All far content lies within one `FAR_SPAN` window
-    /// starting at `far_start`, so circular order from `far_start`'s slot
-    /// is time order.
-    fn far_first_occupied_from(&self, start: usize) -> Option<usize> {
-        let sw = start >> 6;
-        let sb = start & 63;
-        let w = self.far_occ[sw] & (!0u64 << sb);
-        if w != 0 {
-            return Some((sw << 6) + w.trailing_zeros() as usize);
-        }
-        let hi = self.far_sum[sw >> 6] & (!0u64 << (sw & 63)) & !(1u64 << (sw & 63));
-        if hi != 0 {
-            let word = ((sw >> 6) << 6) + hi.trailing_zeros() as usize;
-            return Some((word << 6) + self.far_occ[word].trailing_zeros() as usize);
-        }
-        for j in 1..=FAR_SUM_WORDS {
-            let sj = ((sw >> 6) + j) & (FAR_SUM_WORDS - 1);
-            let mut s = self.far_sum[sj];
-            if j == FAR_SUM_WORDS {
-                // Wrapped all the way around: only words at/before `sw`
-                // (including slots before `start` inside `sw`) remain.
-                s &= ((1u64 << (sw & 63)) - 1) | (1u64 << (sw & 63));
-            }
-            if s != 0 {
-                let word = (sj << 6) + s.trailing_zeros() as usize;
-                let mut bits = self.far_occ[word];
-                if word == sw {
-                    bits &= !(!0u64 << sb);
-                    if bits == 0 {
-                        return None;
-                    }
-                }
-                return Some((word << 6) + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
     /// Minimum timestamp in the far ring (walks the frontier slot's list
     /// once and caches the result; pushes keep the cache fresh).
     fn far_min(&mut self) -> Option<u64> {
@@ -560,8 +532,7 @@ impl<E> TimingWheel<E> {
             return Some(m);
         }
         let start_idx = ((self.far_start >> FAR_SUB_BITS) as usize) & FAR_MASK;
-        let fslot = self
-            .far_first_occupied_from(start_idx)
+        let fslot = first_set_from(&self.far_occ, self.far_sum, start_idx)
             .expect("far_len > 0 but no occupied far slot");
         let mut min = u64::MAX;
         let mut n = self.far_heads[fslot];
@@ -596,46 +567,10 @@ impl<E> TimingWheel<E> {
     }
 
     /// Next occupied near slot; the caller guarantees `near_len > 0`.
+    /// (The cursor's own bit was cleared before this scan.)
     fn scan_near(&self) -> u64 {
-        let sw = self.cursor >> 6;
-        let sb = self.cursor & 63;
-        // 1) Slots at/after the cursor within the cursor's bitmap word.
-        //    (The cursor's own bit was cleared before this scan.)
-        let w = self.occupied[sw] & (!0u64 << sb);
-        if w != 0 {
-            return self.time_of((sw << 6) + w.trailing_zeros() as usize);
-        }
-        // 2) Words strictly after `sw` within the same summary word.
-        let hi = self.summary[sw >> 6] & (!0u64 << (sw & 63)) & !(1u64 << (sw & 63));
-        if hi != 0 {
-            return self.first_in_word(((sw >> 6) << 6) + hi.trailing_zeros() as usize);
-        }
-        // 3) Remaining summary words, wrapping once around the wheel.
-        for j in 1..NEAR_SUM_WORDS {
-            let sj = ((sw >> 6) + j) & (NEAR_SUM_WORDS - 1);
-            let s = self.summary[sj];
-            if s != 0 {
-                return self.first_in_word((sj << 6) + s.trailing_zeros() as usize);
-            }
-        }
-        // 4) Words strictly before `sw` in the cursor's summary word.
-        let lo = self.summary[sw >> 6] & ((1u64 << (sw & 63)) - 1);
-        if lo != 0 {
-            return self.first_in_word(((sw >> 6) << 6) + lo.trailing_zeros() as usize);
-        }
-        // 5) Slots before the cursor within the cursor's bitmap word
-        //    (the far end of the circular window).
-        let w = self.occupied[sw] & !(!0u64 << sb);
-        debug_assert!(w != 0, "near_len > 0 but no occupied slot");
-        self.time_of((sw << 6) + w.trailing_zeros() as usize)
-    }
-
-    /// Timestamp of the first occupied slot in occupancy word `word`.
-    #[inline]
-    fn first_in_word(&self, word: usize) -> u64 {
-        let w = self.occupied[word];
-        debug_assert!(w != 0, "summary bit set for empty word");
-        self.time_of((word << 6) + w.trailing_zeros() as usize)
+        let slot = first_set_from(&self.occupied, self.summary, self.cursor);
+        self.time_of(slot.expect("near_len > 0 but no occupied slot"))
     }
 
     /// Time (in steps) of near `slot` under the current window.
@@ -671,6 +606,26 @@ impl<E> TimingWheel<E> {
     pub fn dispatched_total(&self) -> u64 {
         self.popped
     }
+}
+
+/// First set bit of a 64-word two-level bitmap (`summary` holds one bit
+/// per non-zero `occ` word), scanning circularly from bit `start`.
+#[inline]
+fn first_set_from(occ: &[u64], summary: u64, start: usize) -> Option<usize> {
+    let (sw, sb) = (start >> 6, start & 63);
+    let w = occ[sw] & (!0u64 << sb);
+    if w != 0 {
+        return Some((sw << 6) + w.trailing_zeros() as usize);
+    }
+    // The following words, wrapping once around. The start word comes
+    // last, and by now only its bits before `start` can be set: the far
+    // end of the circular window.
+    let s = summary.rotate_right(sw as u32 + 1);
+    if s == 0 {
+        return None;
+    }
+    let word = (sw + 1 + s.trailing_zeros() as usize) & 63;
+    Some((word << 6) + occ[word].trailing_zeros() as usize)
 }
 
 impl<E: Clone> TimingWheel<E> {
@@ -747,16 +702,22 @@ mod tests {
     #[test]
     fn far_future_events_round_trip_through_far_ring_and_overflow() {
         let mut q: TimingWheel<u32> = TimingWheel::new();
-        // Far ring (ms range) and overflow heap (beyond ~67 ms).
-        q.push(SimTime::from_millis(5), 1);
-        q.push(SimTime::from_millis(1), 0);
-        q.push(SimTime::from_nanos(HEAP_NS), 3);
-        q.push(SimTime::from_millis(9), 2);
-        q.push(SimTime::from_nanos(HEAP_NS + 7), 4);
-        assert_eq!(q.len(), 5);
-        for want in 0..5 {
+        let ns = SimTime::from_nanos;
+        // Three far-ring times (inside `FAR_SPAN` from t = 0) and two
+        // overflow-heap times (beyond it).
+        q.push(ns(FAR_SPAN / 4), 1);
+        q.push(ns(FAR_SPAN / 8), 0);
+        q.push(ns(HEAP_NS), 3);
+        q.push(ns(FAR_SPAN / 2), 2);
+        q.push(ns(HEAP_NS + 7), 4);
+        assert_eq!((q.near_len, q.far_len, q.overflow.len()), (0, 3, 2));
+        // (far_len, overflow.len()) after each pop: the far ring drains
+        // first, then both heap entries migrate in one advance.
+        let after = [(2, 2), (1, 2), (0, 2), (0, 0), (0, 0)];
+        for (want, tiers) in after.into_iter().enumerate() {
             let (_, got) = q.pop().unwrap();
-            assert_eq!(got, want);
+            assert_eq!(got, want as u32);
+            assert_eq!((q.far_len, q.overflow.len()), tiers, "after pop {want}");
         }
         assert!(q.is_empty());
     }
@@ -828,8 +789,8 @@ mod tests {
     #[test]
     fn tier_boundaries_are_exact() {
         let mut q: TimingWheel<u32> = TimingWheel::new();
-        // From base 0: near ring owns [0, 16384), far ring
-        // [16384, 16384 + FAR_SPAN), heap beyond.
+        // From base 0: near ring owns [0, NEAR_SLOTS), far ring
+        // [NEAR_SLOTS, NEAR_SLOTS + FAR_SPAN), heap beyond.
         let near_edge = NEAR_SLOTS as u64;
         let heap_edge = near_edge + FAR_SPAN;
         q.push(SimTime::from_nanos(near_edge - 1), 0); // last near slot
@@ -851,19 +812,25 @@ mod tests {
     #[test]
     fn same_timestamp_pushes_across_tiers_pop_in_seq_order() {
         let mut q: TimingWheel<u32> = TimingWheel::new();
-        let x = SimTime::from_nanos(HEAP_NS); // beyond the heap edge from base 0
+        let ns = SimTime::from_nanos;
+        let x = ns(HEAP_NS); // beyond the heap edge from base 0
         q.push(x, 0); // → overflow heap
-        q.push(SimTime::from_millis(20), 100); // far ring marker
-        assert_eq!(q.pop().unwrap().1, 100); // base → 20 ms; x now in far range
-        q.push(x, 1); // → far ring (same slot, later seq)
-        q.push(SimTime::from_millis(40), 101);
-        assert_eq!(q.pop().unwrap().1, 101); // base → 40 ms; x still far
+        assert_eq!((q.far_len, q.overflow.len()), (0, 1));
+        q.push(ns(HEAP_NS - FAR_SPAN / 2), 100); // far ring marker
+        assert_eq!(q.pop().unwrap().1, 100); // x is now inside the far window
+        q.push(x, 1); // → far ring (later seq than the heap entry)
+        assert_eq!((q.far_len, q.overflow.len()), (1, 1));
+        q.push(ns(HEAP_NS - FAR_SPAN / 4), 101);
+        assert_eq!(q.pop().unwrap().1, 101); // x still beyond the near window
         q.push(x, 2); // → far ring again
-        q.push(SimTime::from_nanos(HEAP_NS - 100), 102); // near the target
-        assert_eq!(q.pop().unwrap().1, 102); // base → x-100; scatters x's slot
+        assert_eq!((q.far_len, q.overflow.len()), (2, 1));
+        q.push(ns(HEAP_NS - 100), 102); // shares x's far slot
+        assert_eq!(q.pop().unwrap().1, 102); // migrates x's heap entry, scatters x's slot
+        assert_eq!((q.far_len, q.overflow.len()), (0, 0));
         q.push(x, 3); // → near ring directly
-                      // Heap entry (0) first, then far entries (1, 2), then the direct
-                      // near push (3): exactly push order.
+        assert_eq!(q.near_len, 4);
+        // Heap entry (0) first, then far entries (1, 2), then the direct
+        // near push (3): exactly push order.
         for want in 0..4 {
             assert_eq!(q.pop().unwrap(), (x, want));
         }
@@ -1019,5 +986,65 @@ mod tests {
             assert_eq!((t.as_nanos(), v), (et, ev));
         }
         assert!(sorted.is_empty());
+    }
+
+    #[test]
+    fn slot_arrays_and_bitmaps_fit_in_40_kib() {
+        let q: TimingWheel<u32> = TimingWheel::new();
+        let bytes = (q.heads.capacity() + q.far_heads.capacity()) * size_of::<u32>()
+            + (q.occupied.capacity() + q.far_occ.capacity()) * size_of::<u64>()
+            + size_of_val(&q.summary)
+            + size_of_val(&q.far_sum);
+        assert!(bytes <= 40 * 1024, "wheel slot state is {bytes} B");
+    }
+
+    /// At a 64 ns grid the far horizon is `FAR_SPAN` × 64 ns (~268 ms).
+    /// A random schedule reaching two horizons ahead, run across several
+    /// of them, must pop in `(quantised time, seq)` order from all three
+    /// tiers.
+    #[test]
+    fn coarse_wheel_keeps_time_seq_order_across_far_horizons() {
+        use crate::rng::SimRng;
+        use std::cmp::Reverse;
+        const STEP: u64 = 64;
+        let horizon = FAR_SPAN * STEP;
+        let mut q: TimingWheel<u64> =
+            TimingWheel::with_resolution(Resolution::from_nanos(STEP).unwrap());
+        let mut model = BinaryHeap::new();
+        let mut rng = SimRng::new(0xC0A25E);
+        let (mut now, mut seq) = (0u64, 0u64);
+        // Pushes that landed in the near ring, the far ring, the heap.
+        let mut landed = [0u32; 3];
+        let check_pop = |q: &mut TimingWheel<u64>, model: &mut BinaryHeap<_>| {
+            let Reverse((t, s)) = model.pop().expect("model non-empty");
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(t * STEP), s)));
+            t * STEP
+        };
+        for _ in 0..20_000 {
+            if q.is_empty() || rng.chance(0.4) {
+                let delay = match rng.next_below(3) {
+                    0 => rng.next_below(NEAR_SLOTS as u64 * STEP),
+                    1 => rng.next_below(horizon),
+                    _ => horizon + rng.next_below(horizon),
+                };
+                let (near, far) = (q.near_len, q.far_len);
+                q.push(SimTime::from_nanos(now + delay), seq);
+                let tier = [q.near_len > near, q.far_len > far, true]
+                    .iter()
+                    .position(|&grew| grew)
+                    .unwrap();
+                landed[tier] += 1;
+                model.push(Reverse(((now + delay).div_ceil(STEP), seq)));
+                seq += 1;
+            } else {
+                now = check_pop(&mut q, &mut model);
+            }
+        }
+        assert!(now > 3 * horizon, "schedule spanned only {now} ns");
+        assert!(landed.iter().all(|&n| n > 1_000), "tier mix {landed:?}");
+        while !model.is_empty() {
+            check_pop(&mut q, &mut model);
+        }
+        assert!(q.is_empty());
     }
 }
